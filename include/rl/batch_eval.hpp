@@ -10,11 +10,17 @@
 // so actions, schedules, and metrics match the one-env-at-a-time path
 // exactly (tests/test_batched_inference.cpp gates this at B in {1,3,8,32}).
 //
+// GreedyBatch::decide is the library's ONE greedy decision step (build the
+// windows, batched_argmax): the façade's single-sequence and streamed
+// evaluations, BatchedEvaluator's sweeps, and every serve::Daemon shard go
+// through it. Only rollout collection, which samples and runs the value
+// net, builds windows elsewhere.
+//
 // The evaluator advances its environments in lockstep: each iteration
-// builds observations for the still-running envs, scores them in one
-// batch, steps each env with its own argmax, and drops finished envs from
-// the live set. Envs and scratch slabs are pooled across evaluate() calls
-// (SchedulingEnv::reconfigure), so steady-state sweeps do not allocate.
+// decides for the still-running envs in one batch, steps each env with its
+// own action, and drops finished envs from the live set. Envs and scratch
+// slabs are pooled across evaluate() calls (SchedulingEnv::reconfigure),
+// so steady-state sweeps do not allocate.
 
 #include <cstdint>
 #include <vector>
@@ -41,6 +47,32 @@ void batched_argmax_quant(const Policy& policy, const Observation* const* obs,
                           std::size_t n, float* logits_slab,
                           std::uint32_t* actions);
 
+/// The greedy decision step for up to `batch` environments: owns the
+/// observation windows, the logits slab and the actions, so callers never
+/// see the window-major layout. Allocation-free after construction.
+class GreedyBatch {
+ public:
+  /// `batch` = max windows per decide() (clamped up from 0 to 1).
+  explicit GreedyBatch(std::size_t batch);
+
+  /// Build the observation window of each of `envs[0..n)` (n <= batch())
+  /// and return their greedy actions — action k is bitwise the unbatched
+  /// masked argmax of policy.logits() on env k's window. The pointer stays
+  /// valid until the next decide().
+  const std::uint32_t* decide(const Policy& policy,
+                              const sim::SchedulingEnv* const* envs,
+                              std::size_t n);
+
+  std::size_t batch() const { return actions_.size(); }
+
+ private:
+  ObservationBuilder builder_;
+  std::vector<Observation> obs_;
+  std::vector<const Observation*> obs_ptr_;  ///< &obs_[k], fixed
+  std::vector<float> logits_;
+  std::vector<std::uint32_t> actions_;
+};
+
 class BatchedEvaluator {
  public:
   /// `batch` = max windows per forward (clamped up from 0 to 1). The
@@ -53,25 +85,17 @@ class BatchedEvaluator {
   void evaluate(const std::vector<std::vector<trace::Job>>& seqs,
                 int processors, bool backfill, sim::RunResult* out);
 
-  std::size_t batch() const { return batch_; }
+  /// Greedy-step `envs[0..n)` (n <= batch(), already reset) in lockstep
+  /// until every one is done; read each result off its env.
+  void run(sim::SchedulingEnv* envs, std::size_t n);
 
-  /// Route decisions through the policy's quantized forward. No-op in
-  /// effect unless the policy has quantization enabled; off by default so
-  /// existing sweeps are bitwise untouched.
-  void set_use_quant(bool on) { use_quant_ = on; }
-  bool use_quant() const { return use_quant_; }
+  std::size_t batch() const { return greedy_.batch(); }
 
  private:
   const Policy& policy_;
-  std::size_t batch_;
-  bool use_quant_ = false;
-  ObservationBuilder builder_;
+  GreedyBatch greedy_;
   std::vector<sim::SchedulingEnv> envs_;  ///< pooled across calls
-  std::vector<Observation> obs_;
-  std::vector<const Observation*> obs_ptr_;
-  std::vector<float> logits_;
-  std::vector<std::uint32_t> actions_;
-  std::vector<std::uint32_t> alive_;  ///< window slot -> env index
+  std::vector<sim::SchedulingEnv*> alive_;
 };
 
 }  // namespace rlsched::rl

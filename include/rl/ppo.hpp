@@ -150,6 +150,7 @@ class PPOTrainer {
   /// the trained parameters — never depend on how many threads ran.
   static constexpr std::size_t kGradChunk = 64;
 
+  BatchedEvaluator& evaluator() const;
   void collect_trajectories();
   /// Lockstep-collect the trajectories of group `g` (global indices
   /// [g*batch, g*batch + nb)): every decision step batches the live lanes'
@@ -167,11 +168,10 @@ class PPOTrainer {
   PPOConfig cfg_;
   std::size_t batch_ = 1;  ///< cfg.batch with 0 clamped to 1
   util::Rng rng_;
-  ObservationBuilder builder_;
 
   std::unique_ptr<Policy> policy_;
-  /// Lazily built on the first evaluate_batch() and reused: its env pool
-  /// and batch slabs persist, so repeated sweeps stop allocating.
+  /// Lazily built on the first evaluation and reused: its env pool and
+  /// decision scratch persist, so repeated sweeps stop allocating.
   mutable std::unique_ptr<BatchedEvaluator> evaluator_;
   nn::FlatMlp value_net_;
   std::vector<float> value_params_;

@@ -12,11 +12,11 @@
 //   submit(ScheduleRequest) -> id          request, attach a pooled env,
 //   try_take / wait(id)                    reset it
 //         |                              step:  group ACTIVE episodes by
-//         v                                policy, pack up to B observation
-//   session table (mutex-guarded):        windows per group into one
-//     slot = { generation, config,        B x 128 batched policy forward
-//              request queue,             (rl::batched_argmax), step each
-//              env while active }         env with its own argmax
+//         v                                policy; one decision step per
+//   session table (mutex-guarded):        group of up to B envs
+//     slot = { generation, config,        (rl::GreedyBatch::decide: B
+//              request queue,             windows, one batched forward),
+//              env while active }         step each env with its action
 //                                       complete: store the Completion,
 //                                         re-admit the session's next
 //                                         request or return the env to the
@@ -41,6 +41,11 @@
 // session, table full, cancelled-by-destroy, ...) map onto the same
 // core::StatusCode enum. serve::Server exposes exactly this contract over
 // a socket (serve/wire.hpp).
+//
+// The decision step is the library's one greedy step, shared with the
+// façade and rl::BatchedEvaluator. A group's decisions are published to
+// the stats counters before any completion it triggers, so a client woken
+// by a completion reads stats() that already count them.
 //
 // Cross-session batching is BITWISE INVISIBLE in every result: each
 // batched logits row equals the unbatched forward of that window (the
@@ -72,7 +77,7 @@
 
 #include "core/api.hpp"
 #include "core/status.hpp"
-#include "rl/observation.hpp"
+#include "rl/batch_eval.hpp"
 #include "rl/policy.hpp"
 #include "sim/env.hpp"
 #include "trace/job.hpp"
@@ -305,12 +310,12 @@ class Daemon {
     std::vector<std::vector<Slot*>> active_by_policy;
     std::vector<Slot*> admit_scratch;
     std::size_t run_completed = 0;
-    rl::ObservationBuilder builder;
-    std::vector<rl::Observation> obs;
-    std::vector<const rl::Observation*> obs_ptr;
-    std::vector<float> logits;
-    std::vector<std::uint32_t> actions;
+    rl::GreedyBatch greedy;
     std::vector<Slot*> lane;  ///< window slot -> episode, per chunk
+    std::vector<const sim::SchedulingEnv*> lane_env;  ///< lane[w]->env
+
+    explicit Shard(std::size_t batch)
+        : greedy(batch), lane(batch), lane_env(batch) {}
   };
 
   std::size_t shard_of(std::uint32_t policy) const {

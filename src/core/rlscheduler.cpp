@@ -1,5 +1,7 @@
 #include "core/rlscheduler.hpp"
 
+#include <utility>
+
 namespace rlsched::core {
 
 namespace {

@@ -28,51 +28,59 @@ void batched_argmax_quant(const Policy& policy, const Observation* const* obs,
   }
 }
 
+GreedyBatch::GreedyBatch(std::size_t batch)
+    : obs_(batch == 0 ? 1 : batch),
+      obs_ptr_(obs_.size()),
+      logits_(obs_.size() * kMaxObservable),
+      actions_(obs_.size()) {
+  for (std::size_t k = 0; k < obs_.size(); ++k) obs_ptr_[k] = &obs_[k];
+}
+
+const std::uint32_t* GreedyBatch::decide(const Policy& policy,
+                                         const sim::SchedulingEnv* const* envs,
+                                         std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) builder_.build_into(*envs[k], obs_[k]);
+  batched_argmax(policy, obs_ptr_.data(), n, logits_.data(), actions_.data());
+  return actions_.data();
+}
+
 BatchedEvaluator::BatchedEvaluator(const Policy& policy, std::size_t batch)
-    : policy_(policy), batch_(batch == 0 ? 1 : batch) {
-  policy_.reserve_batch(batch_);
-  obs_.resize(batch_);
-  obs_ptr_.resize(batch_);
-  logits_.resize(batch_ * kMaxObservable);
-  actions_.resize(batch_);
-  alive_.reserve(batch_);
+    : policy_(policy), greedy_(batch) {
+  policy_.reserve_batch(greedy_.batch());
+  alive_.reserve(greedy_.batch());
 }
 
 void BatchedEvaluator::evaluate(
     const std::vector<std::vector<trace::Job>>& seqs, int processors,
     bool backfill, sim::RunResult* out) {
   const sim::EnvConfig cfg{backfill, kMaxObservable};
-  for (std::size_t group = 0; group < seqs.size(); group += batch_) {
-    const std::size_t nb = std::min(batch_, seqs.size() - group);
+  const std::size_t batch = greedy_.batch();
+  for (std::size_t group = 0; group < seqs.size(); group += batch) {
+    const std::size_t nb = std::min(batch, seqs.size() - group);
     while (envs_.size() < nb) envs_.emplace_back(processors, cfg);
-    alive_.clear();
     for (std::size_t k = 0; k < nb; ++k) {
       envs_[k].reconfigure(processors, cfg);
       envs_[k].reset(seqs[group + k]);
-      if (!envs_[k].done()) alive_.push_back(static_cast<std::uint32_t>(k));
     }
-    while (!alive_.empty()) {
-      const std::size_t n = alive_.size();
-      for (std::size_t w = 0; w < n; ++w) {
-        builder_.build_into(envs_[alive_[w]], obs_[w]);
-        obs_ptr_[w] = &obs_[w];
-      }
-      if (use_quant_) {
-        batched_argmax_quant(policy_, obs_ptr_.data(), n, logits_.data(),
-                             actions_.data());
-      } else {
-        batched_argmax(policy_, obs_ptr_.data(), n, logits_.data(),
-                       actions_.data());
-      }
-      std::size_t keep = 0;
-      for (std::size_t w = 0; w < n; ++w) {
-        sim::SchedulingEnv& env = envs_[alive_[w]];
-        env.step(actions_[w]);
-        if (!env.done()) alive_[keep++] = alive_[w];
-      }
-      alive_.resize(keep);
-    }
+    run(envs_.data(), nb);
     for (std::size_t k = 0; k < nb; ++k) out[group + k] = envs_[k].result();
+  }
+}
+
+void BatchedEvaluator::run(sim::SchedulingEnv* envs, std::size_t n) {
+  alive_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!envs[k].done()) alive_.push_back(&envs[k]);
+  }
+  while (!alive_.empty()) {
+    const std::uint32_t* actions =
+        greedy_.decide(policy_, alive_.data(), alive_.size());
+    std::size_t keep = 0;
+    for (std::size_t w = 0; w < alive_.size(); ++w) {
+      alive_[w]->step(actions[w]);
+      if (!alive_[w]->done()) alive_[keep++] = alive_[w];
+    }
+    alive_.resize(keep);
   }
 }
 

@@ -533,16 +533,18 @@ EpochStats PPOTrainer::train_epoch() {
   return stats;
 }
 
+BatchedEvaluator& PPOTrainer::evaluator() const {
+  if (evaluator_ == nullptr) {
+    evaluator_ = std::make_unique<BatchedEvaluator>(*policy_, batch_);
+  }
+  return *evaluator_;
+}
+
 sim::RunResult PPOTrainer::evaluate(const std::vector<trace::Job>& seq,
                                     int processors, bool backfill) const {
   sim::SchedulingEnv env(processors, sim::EnvConfig{backfill, kMaxObservable});
   env.reset(seq);
-  while (!env.done()) {
-    const Observation obs = builder_.build(env);
-    const Logits logits = policy_->logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               kMaxObservable));
-  }
+  evaluator().run(&env, 1);
   return env.result();
 }
 
@@ -550,10 +552,7 @@ std::vector<sim::RunResult> PPOTrainer::evaluate_batch(
     const std::vector<std::vector<trace::Job>>& seqs, int processors,
     bool backfill) const {
   std::vector<sim::RunResult> out(seqs.size());
-  if (evaluator_ == nullptr) {
-    evaluator_ = std::make_unique<BatchedEvaluator>(*policy_, batch_);
-  }
-  evaluator_->evaluate(seqs, processors, backfill, out.data());
+  evaluator().evaluate(seqs, processors, backfill, out.data());
   return out;
 }
 
@@ -562,12 +561,7 @@ sim::RunResult PPOTrainer::evaluate_stream(trace::JobSource& source,
                                            std::size_t chunk_jobs) const {
   sim::SchedulingEnv env(processors, sim::EnvConfig{backfill, kMaxObservable});
   env.reset(source, chunk_jobs);
-  while (!env.done()) {
-    const Observation obs = builder_.build(env);
-    const Logits logits = policy_->logits(obs);
-    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
-                               kMaxObservable));
-  }
+  evaluator().run(&env, 1);
   return env.result();
 }
 

@@ -4,8 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#include "rl/batch_eval.hpp"
-
 namespace rlsched::serve {
 
 using core::ScheduleRequest;
@@ -46,13 +44,8 @@ Daemon::Daemon(DaemonConfig cfg)
   const std::size_t n = cfg.dispatchers == 0 ? 1 : cfg.dispatchers;
   shards_.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(batch_);
     shard->id = s;
-    shard->obs.resize(batch_);
-    shard->obs_ptr.resize(batch_);
-    shard->logits.resize(batch_ * rl::kMaxObservable);
-    shard->actions.resize(batch_);
-    shard->lane.resize(batch_);
     shards_.push_back(std::move(shard));
   }
 }
@@ -564,7 +557,6 @@ bool Daemon::activate(Shard& shard, Slot& slot) {
 }
 
 void Daemon::step_active_once(Shard& shard) {
-  std::uint64_t stepped = 0;
   // Lazy per-call clock: read at most once, and only if some in-flight
   // episode actually carries a deadline — the no-deadline hot path costs
   // one pointer compare per step.
@@ -578,28 +570,36 @@ void Daemon::step_active_once(Shard& shard) {
       const std::size_t n = std::min(batch_, bucket.size() - g);
       for (std::size_t w = 0; w < n; ++w) {
         shard.lane[w] = bucket[g + w];
-        shard.builder.build_into(*shard.lane[w]->env, shard.obs[w]);
-        shard.obs_ptr[w] = &shard.obs[w];
+        shard.lane_env[w] = shard.lane[w]->env.get();
       }
-      rl::batched_argmax(policy, shard.obs_ptr.data(), n,
-                         shard.logits.data(), shard.actions.data());
+      const std::uint32_t* actions =
+          shard.greedy.decide(policy, shard.lane_env.data(), n);
       forwards_.fetch_add(1, std::memory_order_relaxed);
       forward_windows_.fetch_add(n, std::memory_order_relaxed);
+      // Decisions are published before any completion that follows them,
+      // so a client woken by a completion already sees them in stats():
+      // the group steps first and completes afterwards, and a rejected
+      // step publishes the steps before it, then completes at once.
+      std::uint64_t stepped = 0;
       for (std::size_t w = 0; w < n; ++w) {
-        Slot* slot = shard.lane[w];
-        bool done;
         try {
-          slot->env->step(shard.actions[w]);
-          done = slot->env->done();
+          shard.lane[w]->env->step(actions[w]);
+          ++stepped;
         } catch (const std::exception& e) {
           // Streamed refill rejected mid-episode (e.g. out-of-order
           // submits): the request fails, the env resets on next use.
-          finish_request(shard, *slot,
+          decisions_.fetch_add(stepped, std::memory_order_relaxed);
+          stepped = 0;
+          finish_request(shard, *shard.lane[w],
                          Status(StatusCode::kInvalidArgument, e.what()));
-          continue;
+          shard.lane[w] = nullptr;
         }
-        ++stepped;
-        if (!done) {
+      }
+      decisions_.fetch_add(stepped, std::memory_order_relaxed);
+      for (std::size_t w = 0; w < n; ++w) {
+        Slot* slot = shard.lane[w];
+        if (slot == nullptr) continue;  // failed above
+        if (!slot->env->done()) {
           if (slot->current.deadline != kNoDeadline) {
             if (!have_now) {
               now = std::chrono::steady_clock::now();
@@ -624,7 +624,6 @@ void Daemon::step_active_once(Shard& shard) {
     }
     bucket.resize(write);
   }
-  decisions_.fetch_add(stepped, std::memory_order_relaxed);
 }
 
 void Daemon::finish_request(Shard& shard, Slot& slot, Status status) {

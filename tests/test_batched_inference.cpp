@@ -1,10 +1,12 @@
 // Batched inference must be invisible in every result: for B in
 // {1, 3, 8, 32} a trainer configured with inference batch width B produces
 // BITWISE identical trajectories, metrics, and updated parameters to the
-// unbatched (B=1) trainer, and evaluate_batch() reproduces the per-sequence
-// evaluate() results bit for bit. Also gates the zero-allocation discipline
-// of the batched decision loop (pack + B x 128 forward + per-window argmax)
-// after warmup.
+// unbatched (B=1) trainer, and every greedy evaluation — evaluate(),
+// evaluate_batch(), evaluate_stream(), BatchedEvaluator at any width —
+// reproduces an independent unbatched reference (one Policy::logits
+// forward and one masked argmax per decision) bit for bit. Also gates the
+// zero-allocation discipline of the batched decision step (pack + B x 128
+// forward + per-window argmax, and GreedyBatch::decide) after warmup.
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -97,11 +99,30 @@ void check_training_batch_invariance(rl::PolicyKind kind,
   }
 }
 
-// Evaluation sweeps: evaluate_batch() == per-sequence evaluate(), bitwise,
-// for every batch width and with backfilling on and off.
+// The unbatched reference every greedy evaluation must reproduce: one
+// window, one Policy::logits forward, one masked argmax per decision.
+sim::RunResult unbatched_greedy(const rl::Policy& policy,
+                                const std::vector<trace::Job>& seq,
+                                int processors, bool backfill) {
+  sim::SchedulingEnv env(processors,
+                         sim::EnvConfig{backfill, rl::kMaxObservable});
+  env.reset(seq);
+  const rl::ObservationBuilder builder;
+  while (!env.done()) {
+    const rl::Observation obs = builder.build(env);
+    const rl::Logits logits = policy.logits(obs);
+    env.step(nn::argmax_masked(logits.data(), obs.mask.data(),
+                               rl::kMaxObservable));
+  }
+  return env.result();
+}
+
+// Evaluation sweeps: evaluate(), evaluate_batch(), evaluate_stream() and
+// BatchedEvaluator at every batch width == the unbatched reference,
+// bitwise, with backfilling on and off.
 void check_eval_batch_invariance() {
   const auto trace = congested_trace();
-  rl::PPOTrainer trainer(trace, test_config(1, rl::PolicyKind::Kernel));
+  rl::PPOTrainer trainer(trace, test_config(8, rl::PolicyKind::Kernel));
   trainer.train_epoch();  // move off the random init
 
   util::Rng rng(17);
@@ -112,7 +133,22 @@ void check_eval_batch_invariance() {
   for (const bool backfill : {false, true}) {
     std::vector<sim::RunResult> unbatched;
     for (const auto& s : seqs) {
-      unbatched.push_back(trainer.evaluate(s, trace.processors(), backfill));
+      unbatched.push_back(
+          unbatched_greedy(trainer.policy(), s, trace.processors(), backfill));
+    }
+    const auto swept =
+        trainer.evaluate_batch(seqs, trace.processors(), backfill);
+    for (std::size_t i = 0; i < seqs.size(); ++i) {
+      CHECK(sim::bitwise_equal(swept[i], unbatched[i]));
+      CHECK(sim::bitwise_equal(
+          trainer.evaluate(seqs[i], trace.processors(), backfill),
+          unbatched[i]));
+      // A Trace is a JobSource over its own jobs; a small chunk forces
+      // mid-episode refills.
+      trace::Trace source("seq", trace.processors(), seqs[i]);
+      CHECK(sim::bitwise_equal(
+          trainer.evaluate_stream(source, trace.processors(), backfill, 16),
+          swept[i]));
     }
     for (const std::size_t B : {1u, 3u, 8u, 32u}) {
       rl::BatchedEvaluator evaluator(trainer.policy(), B);
@@ -172,6 +208,37 @@ void check_batched_decision_zero_alloc() {
     for (std::size_t j = 0; j < rl::kMaxObservable; ++j) {
       CHECK(logits[k * rl::kMaxObservable + j] == single[j]);
     }
+  }
+
+  // GreedyBatch::decide over B live environments: allocation-free once
+  // warm, and each action is the unbatched argmax of that env's window.
+  std::vector<sim::SchedulingEnv> envs;
+  envs.reserve(B);
+  std::vector<const sim::SchedulingEnv*> env_ptr(B);
+  for (std::size_t k = 0; k < B; ++k) {
+    envs.emplace_back(trace.processors());
+    envs[k].reset(trace.sequence(8 * k, 256));
+    for (std::size_t s = 0; s < k % 5; ++s) envs[k].step(0);
+    env_ptr[k] = &envs[k];
+  }
+  rl::GreedyBatch greedy(B);
+  greedy.decide(*policy, env_ptr.data(), B);  // warmup
+  const unsigned long long decide_before = g_allocs;
+  const std::uint32_t* decided = nullptr;
+  for (int round = 0; round < 3; ++round) {
+    decided = greedy.decide(*policy, env_ptr.data(), B);
+  }
+  const unsigned long long decide_after = g_allocs;
+  if (decide_after != decide_before) {
+    std::fprintf(stderr, "GreedyBatch::decide allocated %llu times\n",
+                 decide_after - decide_before);
+    std::exit(1);
+  }
+  for (std::size_t k = 0; k < B; ++k) {
+    const rl::Observation o = builder.build(envs[k]);
+    const rl::Logits single = policy->logits(o);
+    CHECK(decided[k] == nn::argmax_masked(single.data(), o.mask.data(),
+                                          rl::kMaxObservable));
   }
 }
 

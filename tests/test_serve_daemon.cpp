@@ -12,10 +12,14 @@
 //      completion.
 //   4. Protocol errors on the shared Status enum: stale handles, unknown
 //      request ids, cancellation by destroy, table exhaustion.
+//   5. Counters a client reads after its last completion already include
+//      every decision that led to it; a step rejected mid-episode fails
+//      only its own request.
 #include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rl/batch_eval.hpp"
@@ -23,6 +27,7 @@
 #include "serve/daemon.hpp"
 #include "sim/env.hpp"
 #include "test_util.hpp"
+#include "trace/job_source.hpp"
 #include "util/rng.hpp"
 #include "workload/synthetic.hpp"
 
@@ -38,6 +43,31 @@ using serve::DaemonConfig;
 using serve::RequestId;
 using serve::SessionConfig;
 using serve::SessionId;
+
+/// Emits its jobs in the given order, unsorted: a job placed after a later
+/// submit time makes the simulator reject the refill that ingests it.
+class VectorSource final : public trace::JobSource {
+ public:
+  VectorSource(int processors, std::vector<trace::Job> jobs)
+      : processors_(processors), jobs_(std::move(jobs)) {}
+  const std::string& name() const override { return name_; }
+  int processors() const override { return processors_; }
+  std::size_t fetch(std::size_t max_jobs, std::vector<trace::Job>& out)
+      override {
+    std::size_t n = 0;
+    for (; n < max_jobs && next_ < jobs_.size(); ++n) {
+      out.push_back(jobs_[next_++]);
+    }
+    return n;
+  }
+  void rewind() override { next_ = 0; }
+
+ private:
+  std::string name_ = "vector";
+  int processors_;
+  std::vector<trace::Job> jobs_;
+  std::size_t next_ = 0;
+};
 
 DaemonConfig daemon_config(std::size_t batch) {
   DaemonConfig cfg;
@@ -564,6 +594,80 @@ int main() {
       for (int i = 0; i < 3; ++i) CHECK(daemon.submit(sid, req).ok());
     }
     CHECK(delivered.load() == 3);
+  }
+
+  // --- 8. decision counters are published before completions -----------
+  {
+    // A client woken by its last completion must read stats() that already
+    // count every decision behind it: with no failed steps, each packed
+    // window is exactly one decision. CI runs this under TSan.
+    Daemon daemon(daemon_config(8));
+    const std::uint32_t pid = daemon.register_policy(*policy);
+    constexpr std::size_t kMany = 2 * kSessions;
+    std::vector<SessionId> sessions;
+    for (std::size_t i = 0; i < kMany; ++i) {
+      SessionConfig sc;
+      sc.processors = procs;
+      sc.policy = pid;
+      sessions.push_back(daemon.create_session(sc).value());
+    }
+    daemon.start();
+    for (int round = 0; round < 8; ++round) {
+      std::vector<RequestId> requests;
+      for (std::size_t i = 0; i < kMany; ++i) {
+        ScheduleRequest req;
+        req.jobs = &seqs[(i + round) % kSessions];
+        req.backfill = true;
+        requests.push_back(daemon.submit(sessions[i], req).value());
+      }
+      for (const RequestId rid : requests) {
+        Completion c;
+        CHECK(daemon.wait(rid, &c).ok());
+        CHECK(c.status.ok());
+      }
+      const auto stats = daemon.stats();
+      CHECK(stats.decisions == stats.forward_windows);
+    }
+    daemon.stop();
+  }
+  {
+    // A step rejected mid-episode (a streamed refill out of submit order)
+    // fails only its own request; the rest of its group is served
+    // bitwise, and only the rejected window lacks a decision.
+    Daemon daemon(daemon_config(8));
+    const std::uint32_t pid = daemon.register_policy(*policy);
+    std::vector<trace::Job> jobs = seqs[0];
+    jobs.push_back(jobs.front());  // submitted before the jobs it follows
+    VectorSource bad_source(procs, std::move(jobs));
+    SessionConfig sc;
+    sc.processors = procs;
+    sc.policy = pid;
+    ScheduleRequest bad;
+    bad.stream = &bad_source;
+    bad.backfill = true;
+    bad.chunk_jobs = 8;
+    const RequestId bad_id =
+        daemon.submit(daemon.create_session(sc).value(), bad).value();
+    std::vector<RequestId> good_ids;
+    for (std::size_t i = 0; i < 4; ++i) {
+      ScheduleRequest req;
+      req.jobs = &seqs[i];
+      req.backfill = true;
+      good_ids.push_back(
+          daemon.submit(daemon.create_session(sc).value(), req).value());
+    }
+    CHECK(daemon.drain().value() == 5);
+    Completion c;
+    CHECK(daemon.try_take(bad_id, &c).ok());
+    CHECK(c.status.code() == StatusCode::kInvalidArgument);
+    for (std::size_t i = 0; i < 4; ++i) {
+      CHECK(daemon.try_take(good_ids[i], &c).ok());
+      CHECK(c.status.ok());
+      CHECK(sim::bitwise_equal(c.result.run(), expect[i]));
+    }
+    const auto stats = daemon.stats();
+    CHECK(stats.requests_failed == 1);
+    CHECK(stats.decisions + 1 == stats.forward_windows);
   }
 
   std::puts("serve daemon: OK");
