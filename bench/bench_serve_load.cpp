@@ -26,6 +26,9 @@
 //                   (the 100k point: mostly-idle sessions must be ~free —
 //                   envs attach lazily at admission)
 //   sock_ol_s<N>    open-loop arrivals through the socket
+//   ov_s<N>         overload: 1.5x the closed-loop capacity of the same
+//                   sharded daemon offered into a bounded shed-oldest
+//                   queue (must shed; books must balance)
 //
 // Self-checks before timing (a perf number from a broken daemon is
 // meaningless) — all three report as booleans in --json and any violation
@@ -619,7 +622,7 @@ LoadResult run_open_loop(
 }
 
 /// The overload row: Poisson arrivals OFFERED ABOVE CAPACITY (the caller
-/// passes ~1.5x the measured closed-loop rate) into a daemon with a
+/// passes 1.5x the closed-loop rate of the same sharded daemon) into a daemon with a
 /// BOUNDED per-shard queue and the shed-oldest admission policy. A healthy
 /// overloaded server degrades gracefully: the excess is shed as delivered
 /// kResourceExhausted completions, the accepted requests see a p99 bounded
@@ -856,12 +859,21 @@ int main(int argc, char** argv) {
       // with shed-oldest admission. Gated on graceful degradation: sheds
       // happen (kResourceExhausted), accepted-request p99 stays bounded by
       // the queue depth, and completed + shed + cancelled == submitted.
+      // The capacity comes from a closed burst through the SAME
+      // configuration the overload row runs — opt.dispatchers background
+      // dispatchers over these policies — not from the single
+      // caller-drained check run, which is slower: 1.5x of that can sit
+      // under the sharded daemon's capacity and shed nothing.
+      const LoadResult sharded_capacity = run_closed_sharded(
+          policies, opt.batch, opt.dispatchers, seq_pool, procs, nullptr);
+      const double ov_rate = 1.5 * sharded_capacity.dps /
+                             static_cast<double>(opt.jobs);
       const std::size_t ov_sessions = opt.sessions.front();
       const std::size_t ov_requests =
           std::min<std::size_t>(opt.ol_requests, 10000);
       LoadResult r = run_overload(policies, opt.batch, opt.dispatchers,
                                   seq_pool, procs, ov_sessions, ov_requests,
-                                  1.5 * capacity_rps, opt.seed);
+                                  ov_rate, opt.seed);
       r.name = "ov_s" + std::to_string(ov_sessions);
       print_row(r);
       std::fprintf(stderr,

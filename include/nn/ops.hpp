@@ -364,44 +364,62 @@ inline void avgpool2_backward(const float* dC, float* dA, std::size_t c,
 // ---------------------------------------------------------------------------
 
 /// Index of the largest value whose mask byte is non-zero; ties break to the
-/// LOWEST index (deterministic), and an all-masked input returns 0.
+/// LOWEST index (deterministic), and an all-masked input returns 0. NaN
+/// entries are never chosen; +-0.0 compare equal, so mixed zero signs tie
+/// to the lowest index.
 ///
-/// Two passes: a branchless masked max (which vectorizes — the one-pass
-/// first-max scan carries a (best, found) recurrence that cannot), then the
-/// first index attaining it. Bit-identical to the one-pass scan for every
-/// NaN-free input: a strictly-greater update also keeps the FIRST index
-/// attaining the maximum, which is exactly what the equality scan returns
-/// (+-0.0 compare equal under both, so mixed zero signs tie to the lowest
-/// index either way). This scan runs once per scheduling decision, after
-/// dense layers that amortize to ~2 float ops per logit — at that scale the
-/// branchy scalar scan was a measurable slice of total decision latency.
+/// One pass, lane-parallel: each lane keeps its own running max and the
+/// first index attaining it (a strictly-greater update keeps the first;
+/// the `== && none` term lets a lone -inf entry still be found), then the
+/// lanes merge by value, ties to the lower index, and the ragged tail
+/// continues the same scalar recurrence. The result is the first index
+/// attaining the maximum whatever the lane width. Carrying the index with
+/// the max spares a second, branchy scan for the first index equal to it,
+/// which on a full window cost about twice this whole pass — a quarter of
+/// an int8 decision.
 inline std::size_t argmax_masked(const float* v, const std::uint8_t* mask,
                                  std::size_t n) {
   constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   float best_v = kNegInf;
+  std::size_t best_i = kNone;
   std::size_t i = 0;
 #if RLSCHED_SIMD > 1
-  // Lane-parallel masked max. Max is an exact select (no rounding), so the
-  // lane partitioning cannot change best_v, and the index comes from the
-  // sequential equality scan below — the result is identical at every
-  // lane width, unlike the summing kernels.
-  const VecF vninf = vsplat(kNegInf);
-  VecF vb = vninf;
-  for (; i + kSimdLanes <= n; i += kSimdLanes) {
-    vb = vmax(vb, vselect_bytes(mask + i, vload(v + i), vninf));
-  }
-  for (std::size_t l = 0; l < kSimdLanes; ++l) {
-    best_v = vb[l] > best_v ? vb[l] : best_v;
+  if (n <= static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+    const VecF vnan = vsplat(std::numeric_limits<float>::quiet_NaN());
+    const VecI vnone = VecI{} - 1;
+    VecI idx;
+    for (std::size_t l = 0; l < kSimdLanes; ++l) idx[l] = static_cast<int>(l);
+    VecF bv = vsplat(kNegInf);
+    VecI bi = vnone;
+    for (; i + kSimdLanes <= n; i += kSimdLanes) {
+      // Masked slots read as NaN, which no comparison takes.
+      const VecF x = vselect_bytes(mask + i, vload(v + i), vnan);
+      const VecI take = (x > bv) | ((x == bv) & (bi == vnone));
+      bv = vblend(take, x, bv);
+      bi = (idx & take) | (bi & ~take);
+      idx += static_cast<int>(kSimdLanes);
+    }
+    for (std::size_t l = 0; l < kSimdLanes; ++l) {
+      if (bi[l] < 0) continue;
+      const auto li = static_cast<std::size_t>(bi[l]);
+      if (bv[l] > best_v ||
+          (bv[l] == best_v && (best_i == kNone || li < best_i))) {
+        best_v = bv[l];
+        best_i = li;
+      }
+    }
   }
 #endif
   for (; i < n; ++i) {
-    const float x = mask[i] != 0 ? v[i] : kNegInf;
-    best_v = x > best_v ? x : best_v;
+    if (mask[i] == 0) continue;
+    const float x = v[i];
+    if (x > best_v || (x == best_v && best_i == kNone)) {
+      best_v = x;
+      best_i = i;
+    }
   }
-  for (std::size_t k = 0; k < n; ++k) {
-    if (mask[k] != 0 && v[k] == best_v) return k;
-  }
-  return 0;
+  return best_i == kNone ? 0 : best_i;
 }
 
 template <std::size_t N>

@@ -81,27 +81,12 @@ inline VecF vmask_relu(VecF c, VecF d) {
   return r;
 }
 
-/// Lane-wise exact max — a pure select, no rounding, so any lane
-/// partitioning of a max-reduction yields the same result.
-inline VecF vmax(VecF a, VecF b) {
-  VecF r;
-  for (std::size_t l = 0; l < kSimdLanes; ++l) {
-    r[l] = a[l] > b[l] ? a[l] : b[l];
-  }
-  return r;
-}
-
-/// Lane l takes x[l] where the mask BYTE m[l] is non-zero, else y[l].
-/// Widening the bytes and blending through integer bit ops (not a lane
-/// loop over mixed u8/float — that mix defeats auto-vectorization) keeps
-/// the select exact and branchless.
 using VecU8 = std::uint8_t __attribute__((vector_size(RLSCHED_SIMD)));
 using VecI = int __attribute__((vector_size(RLSCHED_SIMD * sizeof(int))));
 
-inline VecF vselect_bytes(const std::uint8_t* m, VecF x, VecF y) {
-  VecU8 mb;
-  std::memcpy(&mb, m, sizeof(mb));
-  const VecI sel = __builtin_convertvector(mb, VecI) != VecI{};  // -1 / 0
+/// Lane l takes x[l] where sel[l] is all ones, else y[l] (`sel` as produced
+/// by a vector comparison) — an exact bitwise select.
+inline VecF vblend(VecI sel, VecF x, VecF y) {
   VecI xi, yi;
   std::memcpy(&xi, &x, sizeof(xi));
   std::memcpy(&yi, &y, sizeof(yi));
@@ -109,6 +94,16 @@ inline VecF vselect_bytes(const std::uint8_t* m, VecF x, VecF y) {
   VecF out;
   std::memcpy(&out, &r, sizeof(out));
   return out;
+}
+
+/// Lane l takes x[l] where the mask BYTE m[l] is non-zero, else y[l].
+/// Widening the bytes and blending through integer bit ops (not a lane
+/// loop over mixed u8/float — that mix defeats auto-vectorization) keeps
+/// the select exact and branchless.
+inline VecF vselect_bytes(const std::uint8_t* m, VecF x, VecF y) {
+  VecU8 mb;
+  std::memcpy(&mb, m, sizeof(mb));
+  return vblend(__builtin_convertvector(mb, VecI) != VecI{}, x, y);
 }
 
 /// Combine the lane accumulators with a FIXED pairwise tree:
@@ -138,7 +133,6 @@ inline VecF vmax0(VecF x) { return VecF{x.v > 0.0f ? x.v : 0.0f}; }
 inline VecF vmask_relu(VecF c, VecF d) {
   return VecF{c.v <= 0.0f ? 0.0f : d.v};
 }
-inline VecF vmax(VecF a, VecF b) { return VecF{a.v > b.v ? a.v : b.v}; }
 inline VecF vselect_bytes(const std::uint8_t* m, VecF x, VecF y) {
   return VecF{*m != 0 ? x.v : y.v};
 }

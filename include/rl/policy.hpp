@@ -25,22 +25,35 @@ class Policy {
   virtual ~Policy() = default;
 
   /// One logit per observable slot. Masking happens in the caller.
+  ///
+  /// Precondition: every padded slot (index >= obs.count) has all-zero
+  /// features, as ObservationBuilder writes them. The kernel policy scores
+  /// only the window's live prefix and gives every slot past it the logit
+  /// of the padded slot at index count; on such windows that is bitwise
+  /// what scoring all 128 slots gives.
   virtual Logits logits(const Observation& obs) const = 0;
 
   /// Accumulate d(loss)/d(params) for d(loss)/d(logits) into `gparams`
   /// (length parameter_count()). Reuses the activations of the most recent
   /// logits() call — callers must pair backward() with a logits() on the
   /// same observation (the PPO update loop does).
+  ///
+  /// Precondition: dlogits of masked slots (index >= obs.count) are +-0,
+  /// as PPO's coef * softmax_masked(...) makes them (masked probabilities
+  /// are exactly 0). The kernel policy back-propagates only the live
+  /// prefix; under this precondition the accumulated gradient is bitwise
+  /// the full-width one.
   virtual void backward(const Observation& obs, const Logits& dlogits,
                         float* gparams) const = 0;
 
-  /// Score `n` stacked observation windows in ONE forward pass. `out` is
+  /// Score `n` stacked observation windows in ONE call. `out` is
   /// window-major: the logits of window k land at
   /// out[k * kMaxObservable + j]. Row k is bitwise identical to
-  /// logits(*obs[k]) — batching can never change a decision. The kernel
-  /// policy overrides this with a true B x 128 GEMV (job axis J spans the
-  /// whole batch); the MLP baselines batch along the sample axis; the
-  /// default loops logits(). Batch scratch grows to the largest n ever
+  /// logits(*obs[k]) — batching can never change a decision — and the
+  /// zero-padding precondition of logits() applies to every window. The
+  /// kernel policy runs its layer stack window by window over each
+  /// window's live prefix; the MLP baselines batch along the sample axis;
+  /// the default loops logits(). Batch scratch grows to the largest n ever
   /// seen, then is reused — the steady-state loop performs no allocation.
   virtual void logits_batch(const Observation* const* obs, std::size_t n,
                             float* out) const;
@@ -59,7 +72,8 @@ class Policy {
 
   /// Accumulate gradients for the batch scored by the MOST RECENT
   /// logits_batch() on the same (obs, n). `dlogits` is window-major like
-  /// logits_batch()'s output. Windows with win_active[k] == 0 (when
+  /// logits_batch()'s output, with the masked-slot precondition of
+  /// backward() on every window. Windows with win_active[k] == 0 (when
   /// non-null) contribute nothing — bitwise identical to skipping their
   /// backward() call, which is how the PPO update drops clip-saturated
   /// samples. Gradient reductions are order-stable per window (window

@@ -99,10 +99,17 @@ bench_decision_latency — quantized kernel-policy decision path:
   host, so machine speed divides out). int8/f32 ratios at B=1 and B=32
   are additionally gated against the baseline with the tolerance band.
 
+* HARD CEILING: a float decision over sparse windows (kernel_f32_sparse,
+  a few percent of slots live) costs at most sparse_max_time_ratio (from
+  the baseline) of a full-window float decision (kernel_f32) at B=1 and
+  B=8, same run. The kernel policy's forward runs over each window's live
+  prefix, so a return to full-width scoring shows here. Float-only, so it
+  is checked on every host.
+
 * quant_isa is a HOST property (the int8 kernel dispatches on CPUID at
   load): a run whose quant_isa differs from the baseline produces honest
-  numbers the floor was never recorded for, so the gate WARNS and skips
-  rather than failing. simd_lanes/pool_windows are BUILD properties — a
+  numbers the floor was never recorded for, so the int8 gates WARN and
+  skip rather than failing. simd_lanes/pool_windows are BUILD properties — a
   mismatch there is a config error and fails hard.
 
 Exit status: 0 = gate passed, 1 = regression or floor violation,
@@ -419,6 +426,26 @@ def check_decision_latency(baseline_doc, current_doc, tolerance):
                  f"recorded at {baseline_doc.get(field)} — refresh "
                  f"bench/baseline.json for this build configuration")
             return
+    baseline = baseline_doc["metrics"]
+    current = current_doc["metrics"]
+    # Live-prefix ceiling: time per decision is 1 / decisions-per-sec, so
+    # sparse time / full time == full dps / sparse dps.
+    if "kernel_f32_sparse" not in current or "kernel_f32" not in current:
+        fail("metric 'kernel_f32' or 'kernel_f32_sparse' missing from "
+             "current run")
+        return
+    ceiling = baseline_doc["sparse_max_time_ratio"]
+    for b in ("b1", "b8"):
+        ratio = current["kernel_f32"][b] / current["kernel_f32_sparse"][b]
+        status = "ok" if ratio <= ceiling else "FAIL"
+        print(f"{'sparse/full f32':16s} {b} time ratio {ratio:7.3f} "
+              f"(gate <= {ceiling:.2f}) {status}")
+        if ratio > ceiling:
+            fail(f"sparse-window float decision costs {ratio:.3f}x a "
+                 f"full-window one at {b} (ceiling {ceiling:.2f}x)")
+    warn_absolute("kernel_f32_sparse", baseline["kernel_f32_sparse"],
+                  current["kernel_f32_sparse"], ("b1", "b8"), tolerance)
+
     # quant_isa is a HOST property (CPUID dispatch at weight-load time):
     # a generic host produces honest int8 numbers the floor was never
     # recorded against, so skip with a warning instead of failing.
@@ -429,8 +456,6 @@ def check_decision_latency(baseline_doc, current_doc, tolerance):
               f"{baseline_doc.get('quant_isa')}")
         return
 
-    baseline = baseline_doc["metrics"]
-    current = current_doc["metrics"]
     for name in ("kernel_f32", "kernel_int8"):
         if name not in current:
             fail(f"metric '{name}' missing from current run")

@@ -13,7 +13,7 @@ void batched_argmax(const Policy& policy, const Observation* const* obs,
   for (std::size_t k = 0; k < n; ++k) {
     actions[k] = static_cast<std::uint32_t>(
         nn::argmax_masked(logits_slab + k * kMaxObservable,
-                          obs[k]->mask.data(), kMaxObservable));
+                          obs[k]->mask.data(), obs[k]->count));
   }
 }
 
@@ -24,7 +24,7 @@ void batched_argmax_quant(const Policy& policy, const Observation* const* obs,
   for (std::size_t k = 0; k < n; ++k) {
     actions[k] = static_cast<std::uint32_t>(
         nn::argmax_masked(logits_slab + k * kMaxObservable,
-                          obs[k]->mask.data(), kMaxObservable));
+                          obs[k]->mask.data(), obs[k]->count));
   }
 }
 

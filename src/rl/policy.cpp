@@ -56,20 +56,33 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Kernel network: shared per-job MLP {features, 32, 16, 8, 1} evaluated as
-// batched dense layers over the SoA job axis — one GEMM-shaped pass scores
-// all 128 window slots at once.
+// batched dense layers over the SoA job axis. Each slot is scored on its
+// own with shared weights, so a padded slot adds nothing to any live
+// slot's score: one forward and one backward run over the window's LIVE
+// PREFIX only, cols = min(128, round_up(count + 1, kSimdLanes)) columns.
+//
+//  * Forward: padded slots have all-zero features (ObservationBuilder
+//    zero-fills them), and the + 1 keeps one padded column inside the
+//    prefix whenever count < 128, so logits [cols, 128) are copies of
+//    logit[count] — every row is bitwise equal to a full-width forward.
+//  * Backward: cols is a whole number of SIMD lanes, so the order-stable
+//    window reductions keep their lane assignment and lane tree; a lane
+//    accumulator starts at +0 and can never become -0, so the dropped
+//    columns' terms (all +-0 when masked dlogits are +-0, which PPO's
+//    coef * probs guarantees) never changed a bit. The gradient is
+//    bitwise equal to a full-width backward.
 //
 // Batched entry points use WINDOW-BLOCKED scheduling: each window runs the
-// full layer stack with its ~29 KB activation block L1-resident, writing
-// into its slice of a window-major activation slab (retained for the
-// paired backward). The alternative — one contiguous J = B x 128 job axis
-// through every layer, which the nn/ kernels fully support — was measured
-// ~1.5x SLOWER here: this net's weights are ~6 KB (nothing to amortize,
-// the batched win that carries the value net and the MLP baselines), while
-// the layerwise batched activations spill L1 from B=2. Equivalence is
-// unconditional either way: forwards are per-column exact and the
-// window-order gradient reductions match sequential per-window backwards
-// bitwise, so the schedule is a pure locality decision.
+// full layer stack with its activation block (at most ~29 KB) L1-resident,
+// writing into its slice of a window-major activation slab (retained for
+// the paired backward). The alternative — one contiguous job axis through
+// every layer, which the nn/ kernels fully support — was measured ~1.5x
+// SLOWER at full width: this net's weights are ~6 KB (nothing to
+// amortize, the batched win that carries the value net and the MLP
+// baselines), while the layerwise batched activations spill L1 from B=2.
+// Equivalence is unconditional either way: forwards are per-column exact
+// and the window-order gradient reductions match sequential per-window
+// backwards bitwise, so the schedule is a pure locality decision.
 // ---------------------------------------------------------------------------
 class KernelPolicy final : public Policy {
  public:
@@ -88,6 +101,7 @@ class KernelPolicy final : public Policy {
     }
     act_.resize(act_unit_);
     dact_.resize(act_unit_);
+    x_.resize(kLayers[0] * kMaxObservable);
     const std::size_t last = kLayers.size() - 2;
     for (std::size_t l = 0; l + 1 < kLayers.size(); ++l) {
       const float scale = std::sqrt(2.0f / static_cast<float>(kLayers[l])) *
@@ -100,24 +114,21 @@ class KernelPolicy final : public Policy {
   }
 
   Logits logits(const Observation& obs) const override {
-    const float* top = forward_window(obs.features.data(), 0);
     Logits out;
-    std::memcpy(out.data(), top, sizeof(out));
+    forward_window(obs, 0, out.data());
     return out;
   }
 
   void backward(const Observation& obs, const Logits& dlogits,
                 float* gparams) const override {
-    backward_window(obs.features.data(), 0, dlogits.data(), gparams);
+    backward_window(obs, 0, dlogits.data(), gparams);
   }
 
   void logits_batch(const Observation* const* obs, std::size_t n,
                     float* out) const override {
     ensure_batch(n);
     for (std::size_t k = 0; k < n; ++k) {
-      const float* top = forward_window(obs[k]->features.data(), k);
-      std::memcpy(out + k * kMaxObservable, top,
-                  kMaxObservable * sizeof(float));
+      forward_window(*obs[k], k, out + k * kMaxObservable);
     }
   }
 
@@ -130,8 +141,7 @@ class KernelPolicy final : public Policy {
                       float* gparams) const override {
     for (std::size_t k = 0; k < n; ++k) {
       if (win_active != nullptr && win_active[k] == 0) continue;
-      backward_window(obs[k]->features.data(), k,
-                      dlogits + k * kMaxObservable, gparams);
+      backward_window(*obs[k], k, dlogits + k * kMaxObservable, gparams);
     }
   }
 
@@ -154,17 +164,21 @@ class KernelPolicy final : public Policy {
     // Static activation scales: amax over the calibration set of each
     // layer's float input (features, then each relu output), spread over
     // the full u8 range. Unit scales when uncalibrated keep the mapping
-    // deterministic (just coarse).
+    // deterministic (just coarse). The live prefix holds a padded column
+    // whenever the window has padding, and every padded column carries the
+    // same activations, so its maxima are the full window's.
     std::array<float, 4> amax{};
+    Logits scratch;
     for (std::size_t s = 0; s < n; ++s) {
       const float* f = calib[s]->features.data();
       for (std::size_t i = 0; i < kLayers[0] * J; ++i) {
         amax[0] = std::max(amax[0], f[i]);
       }
-      (void)forward_window(f, 0);  // fills window 0's activation slab
+      forward_window(*calib[s], 0, scratch.data());  // fills window 0's slab
+      const std::size_t cols = live_cols(*calib[s]);
       for (std::size_t l = 0; l + 1 < layers; ++l) {
         const float* h = act_.data() + act_off_[l];
-        for (std::size_t i = 0; i < kLayers[l + 1] * J; ++i) {
+        for (std::size_t i = 0; i < kLayers[l + 1] * cols; ++i) {
           amax[l + 1] = std::max(amax[l + 1], h[i]);
         }
       }
@@ -250,33 +264,61 @@ class KernelPolicy final : public Policy {
     act_.resize(act_unit_ * n);
   }
 
-  /// Full layer stack over window k's 128 slots; activations land in the
-  /// window's slab block (retained for backward_window).
-  const float* forward_window(const float* features, std::size_t k) const {
-    constexpr std::size_t J = kMaxObservable;
+  /// Live-prefix width of a window: its real slots plus at least one
+  /// all-zero padded slot, rounded up to whole SIMD lanes.
+  static std::size_t live_cols(const Observation& obs) {
+    constexpr std::size_t V = nn::kSimdLanes;
+    static_assert(kMaxObservable % V == 0, "window must be whole lanes");
+    return std::min<std::size_t>((obs.count + V) / V * V, kMaxObservable);
+  }
+
+  /// Compact the live prefix of the 6 feature rows into x_ (row stride
+  /// cols), the layer-0 input of both forward and backward.
+  const float* pack_features(const Observation& obs, std::size_t cols) const {
+    for (std::size_t f = 0; f < kLayers[0]; ++f) {
+      std::memcpy(x_.data() + f * cols,
+                  obs.features.data() + f * kMaxObservable,
+                  cols * sizeof(float));
+    }
+    return x_.data();
+  }
+
+  /// Full layer stack over window k's live prefix; activations land in the
+  /// window's slab block with row stride cols (retained for
+  /// backward_window). Writes all 128 logits: slots past the prefix are
+  /// padding, scored exactly like the padded slot at index count.
+  void forward_window(const Observation& obs, std::size_t k,
+                      float* logits) const {
+    const std::size_t cols = live_cols(obs);
     float* base = act_.data() + k * act_unit_;
-    const float* in = features;
+    const float* in = pack_features(obs, cols);
     for (std::size_t l = 0; l + 1 < kLayers.size(); ++l) {
       float* out = base + act_off_[l];
       nn::dense_batch_forward(params_.data() + w_off_[l],
                               params_.data() + b_off_[l], in, out,
-                              kLayers[l + 1], kLayers[l], J,
+                              kLayers[l + 1], kLayers[l], cols,
                               /*relu=*/l + 2 < kLayers.size());
       in = out;
     }
-    return in;
+    std::memcpy(logits, in, cols * sizeof(float));
+    if (cols < kMaxObservable) {
+      std::fill(logits + cols, logits + kMaxObservable, in[obs.count]);
+    }
   }
 
-  /// Pairs with the latest forward_window(features, k). Gradient scratch is
-  /// shared across windows (backwards run sequentially); gW/gb reductions
-  /// use the order-stable lane order of nn::dense_batch_backward.
-  void backward_window(const float* features, std::size_t k,
+  /// Pairs with the latest forward_window(obs, k). Runs over the same live
+  /// prefix, so dlogits of slots >= count must be +-0 (see the class
+  /// comment). Gradient scratch is shared across windows (backwards run
+  /// sequentially); gW/gb reductions use the order-stable lane order of
+  /// nn::dense_batch_backward.
+  void backward_window(const Observation& obs, std::size_t k,
                        const float* dlogits, float* gparams) const {
-    constexpr std::size_t J = kMaxObservable;
+    const std::size_t cols = live_cols(obs);
     const std::size_t layers = kLayers.size() - 1;
     const float* base = act_.data() + k * act_unit_;
+    const float* features = pack_features(obs, cols);
     std::memcpy(dact_.data() + act_off_[layers - 1], dlogits,
-                J * sizeof(float));
+                cols * sizeof(float));
     for (std::size_t l = layers; l-- > 0;) {
       const float* a_in = l == 0 ? features : base + act_off_[l - 1];
       float* d_out = dact_.data() + act_off_[l];
@@ -284,7 +326,7 @@ class KernelPolicy final : public Policy {
       nn::dense_batch_backward(params_.data() + w_off_[l], a_in,
                                base + act_off_[l], d_out, d_in,
                                gparams + w_off_[l], gparams + b_off_[l],
-                               kLayers[l + 1], kLayers[l], J,
+                               kLayers[l + 1], kLayers[l], cols,
                                /*relu=*/l + 1 < layers);
     }
   }
@@ -316,6 +358,7 @@ class KernelPolicy final : public Policy {
   mutable std::size_t batch_cap_ = 1;
   mutable std::vector<float> act_;   ///< window-major activation slab
   mutable std::vector<float> dact_;  ///< one window of gradient scratch
+  mutable std::vector<float> x_;     ///< compact live-prefix features
 
   // int8 snapshot (enable_quant) + per-window packed-activation scratch
   bool quant_on_ = false;

@@ -5,10 +5,16 @@
 // evaluate_batch(), evaluate_stream(), BatchedEvaluator at any width —
 // reproduces an independent unbatched reference (one Policy::logits
 // forward and one masked argmax per decision) bit for bit. Also gates the
-// zero-allocation discipline of the batched decision step (pack + B x 128
+// zero-allocation discipline of the batched decision step (pack + batched
 // forward + per-window argmax, and GreedyBatch::decide) after warmup.
+// Finally, an independent full-width oracle (plain nn:: dense layers over
+// all 128 slots with the kernel policy's flat parameters) pins the kernel
+// policy's live-prefix forward and backward bit for bit at every window
+// occupancy — the checks above compare the policy only with itself.
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "counting_alloc.hpp"
@@ -161,7 +167,7 @@ void check_eval_batch_invariance() {
   }
 }
 
-// The batched decision loop (pack + one B x 128 forward + per-window
+// The batched decision loop (pack + one batched forward + per-window
 // argmax) must be allocation-free once its scratch is warm, and every
 // batched action must equal the unbatched argmax.
 void check_batched_decision_zero_alloc() {
@@ -242,6 +248,172 @@ void check_batched_decision_zero_alloc() {
   }
 }
 
+
+// Full-width reference for the kernel policy: the shared per-job MLP
+// {6, 32, 16, 8, 1} run with plain nn::dense_batch_forward/backward over
+// all 128 slots, reading the policy's flat parameters (each layer's W then
+// b). Shares nothing with the policy but the nn:: kernels.
+class FullWidthKernelOracle {
+ public:
+  static constexpr std::size_t J = rl::kMaxObservable;
+  static constexpr std::array<std::size_t, 5> kL = {rl::kJobFeatures, 32, 16,
+                                                    8, 1};
+
+  FullWidthKernelOracle() {
+    std::size_t off = 0;
+    for (std::size_t l = 0; l < 4; ++l) {
+      w_off_[l] = off;
+      off += kL[l] * kL[l + 1];
+      b_off_[l] = off;
+      off += kL[l + 1];
+      act_[l].resize(kL[l + 1] * J);
+      dact_[l].resize(kL[l + 1] * J);
+    }
+    param_count_ = off;
+  }
+
+  std::size_t param_count() const { return param_count_; }
+
+  void forward(const float* params, const rl::Observation& obs,
+               float* logits) {
+    const float* in = obs.features.data();
+    for (std::size_t l = 0; l < 4; ++l) {
+      nn::dense_batch_forward(params + w_off_[l], params + b_off_[l], in,
+                              act_[l].data(), kL[l + 1], kL[l], J,
+                              /*relu=*/l < 3);
+      in = act_[l].data();
+    }
+    std::memcpy(logits, in, J * sizeof(float));
+  }
+
+  /// Pairs with the latest forward() on the same observation.
+  void backward(const float* params, const rl::Observation& obs,
+                const float* dlogits, float* gparams) {
+    std::memcpy(dact_[3].data(), dlogits, J * sizeof(float));
+    for (std::size_t l = 4; l-- > 0;) {
+      const float* a_in = l == 0 ? obs.features.data() : act_[l - 1].data();
+      float* d_in = l == 0 ? nullptr : dact_[l - 1].data();
+      nn::dense_batch_backward(params + w_off_[l], a_in, act_[l].data(),
+                               dact_[l].data(), d_in, gparams + w_off_[l],
+                               gparams + b_off_[l], kL[l + 1], kL[l], J,
+                               /*relu=*/l < 3);
+    }
+  }
+
+ private:
+  std::array<std::size_t, 4> w_off_{}, b_off_{};
+  std::array<std::vector<float>, 4> act_, dact_;
+  std::size_t param_count_ = 0;
+};
+
+bool bitwise_same(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// A window with `count` real jobs laid out like ObservationBuilder's:
+// nonnegative features and a valid-slot bias on live slots, all-zero
+// features and mask on padding.
+rl::Observation window_with_count(util::Rng& rng, std::size_t count) {
+  rl::Observation obs;
+  obs.features.fill(0.0f);
+  obs.mask.fill(0);
+  obs.count = static_cast<std::uint32_t>(count);
+  constexpr std::size_t J = rl::kMaxObservable;
+  for (std::size_t j = 0; j < count; ++j) {
+    for (std::size_t f = 0; f + 1 < rl::kJobFeatures; ++f) {
+      obs.features[f * J + j] = static_cast<float>(rng.uniform());
+    }
+    obs.features[(rl::kJobFeatures - 1) * J + j] = 1.0f;
+    obs.mask[j] = 1;
+  }
+  return obs;
+}
+
+// PPO-shaped dlogits for one window: coef * softmax_masked(logits), minus
+// coef at the taken action (a live slot, when there is one). Masked slots
+// get coef * 0 == +-0, the precondition of the live-prefix backward.
+void ppo_dlogits(const float* logits, const rl::Observation& obs, float coef,
+                 util::Rng& rng, float* dl) {
+  std::array<float, rl::kMaxObservable> probs{};
+  nn::softmax_masked(logits, obs.mask.data(), probs.data(),
+                     rl::kMaxObservable);
+  for (std::size_t j = 0; j < rl::kMaxObservable; ++j) dl[j] = coef * probs[j];
+  if (obs.count > 0) dl[rng.below(obs.count)] -= coef;
+}
+
+// The kernel policy's live-prefix forward and backward == the full-width
+// oracle, bitwise, for every window occupancy 0..128: logits rows single
+// and batched (B = 8, mixed occupancies per batch, one window skipped per
+// batch via win_active), and PPO-shaped gradients for both signs of coef.
+void check_kernel_full_width_oracle() {
+  constexpr std::size_t J = rl::kMaxObservable;
+  constexpr std::size_t B = 8;
+  util::Rng rng(23);
+  const auto policy =
+      rl::make_policy(rl::PolicyKind::Kernel, rl::kMaxObservable, rng);
+  FullWidthKernelOracle oracle;
+  CHECK(policy->parameter_count() == oracle.param_count());
+  // Unit-scale weights everywhere (the init scales the head by 0.01), so
+  // ReLU patterns and logits vary across slots.
+  for (float& p : policy->param_vector()) {
+    p = 0.5f * static_cast<float>(rng.normal());
+  }
+  const float* params = policy->param_vector().data();
+  const std::size_t np = policy->parameter_count();
+
+  // Occupancies 0..128 in a strided order so every batch mixes small and
+  // large windows.
+  constexpr std::size_t kWindows = J + 1;
+  std::vector<rl::Observation> windows;
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    windows.push_back(window_with_count(rng, (i * 37) % kWindows));
+  }
+
+  std::vector<float> ref_logits(J), got(B * J), dl(B * J);
+  std::vector<float> g(np), g_ref(np);
+  std::vector<const rl::Observation*> ptr(B);
+  std::array<std::uint8_t, B> active{};
+  for (const float coef_sign : {1.0f, -1.0f}) {
+    for (std::size_t start = 0; start < kWindows; start += B) {
+      const std::size_t n = std::min(B, kWindows - start);
+      for (std::size_t k = 0; k < n; ++k) ptr[k] = &windows[start + k];
+
+      // Batched form: one logits_batch, one backward_batch.
+      policy->logits_batch(ptr.data(), n, got.data());
+      std::fill(g.begin(), g.end(), 0.0f);
+      std::fill(g_ref.begin(), g_ref.end(), 0.0f);
+      for (std::size_t k = 0; k < n; ++k) {
+        const float coef = coef_sign * static_cast<float>(
+                                           rng.uniform(0.01, 2.0));
+        ppo_dlogits(got.data() + k * J, *ptr[k], coef, rng,
+                    dl.data() + k * J);
+        active[k] = (start / B + k) % 5 == 3 ? 0 : 1;
+      }
+      policy->backward_batch(ptr.data(), n, dl.data(), active.data(),
+                             g.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        oracle.forward(params, *ptr[k], ref_logits.data());
+        CHECK(bitwise_same(got.data() + k * J, ref_logits.data(), J));
+        if (active[k] == 0) continue;
+        oracle.backward(params, *ptr[k], dl.data() + k * J, g_ref.data());
+      }
+      CHECK(bitwise_same(g.data(), g_ref.data(), np));
+
+      // Single-window form: logits + backward per window, same dlogits.
+      std::fill(g.begin(), g.end(), 0.0f);
+      for (std::size_t k = 0; k < n; ++k) {
+        const rl::Logits single = policy->logits(*ptr[k]);
+        CHECK(bitwise_same(single.data(), got.data() + k * J, J));
+        if (active[k] == 0) continue;
+        rl::Logits dsingle;
+        std::memcpy(dsingle.data(), dl.data() + k * J, sizeof(dsingle));
+        policy->backward(*ptr[k], dsingle, g.data());
+      }
+      CHECK(bitwise_same(g.data(), g_ref.data(), np));
+    }
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -255,6 +427,7 @@ int main() {
   check_training_batch_invariance(rl::PolicyKind::LeNet, {8}, 1);
   check_eval_batch_invariance();
   check_batched_decision_zero_alloc();
-  std::puts("batched inference bitwise invariance + zero-alloc: OK");
+  check_kernel_full_width_oracle();
+  std::puts("batched inference bitwise invariance + zero-alloc + full-width oracle: OK");
   return 0;
 }

@@ -1,9 +1,52 @@
 // Masked argmax/softmax determinism: ties break to the lowest index,
-// masked-out slots are never chosen and carry zero probability.
+// masked-out slots are never chosen and carry zero probability. The
+// lane-parallel argmax is fuzzed against a plain scalar reference (max,
+// then first index equal to it) at every length across the lane blocks.
 #include <array>
+#include <cstdint>
+#include <limits>
 
 #include "nn/ops.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+std::size_t reference_argmax(const float* v, const std::uint8_t* mask,
+                             std::size_t n) {
+  float best = -std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0 && v[i] > best) best = v[i];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mask[i] != 0 && v[i] == best) return i;
+  }
+  return 0;
+}
+
+// Few distinct values (both zero signs, both infinities) so ties, -inf-only
+// windows and all-masked windows all occur often; plus NaN entries, which
+// the reference (and argmax_masked) never choose.
+void fuzz_argmax_against_reference() {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float pool[] = {0.0f, -0.0f, 1.0f, -1.0f, 2.5f, kInf, -kInf,
+                        std::numeric_limits<float>::quiet_NaN()};
+  rlsched::util::Rng rng(11);
+  std::array<float, 140> v{};
+  std::array<std::uint8_t, 140> mask{};
+  for (int trial = 0; trial < 200000; ++trial) {
+    const std::size_t n = rng.below(v.size() + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      v[i] = trial % 2 == 0 ? pool[rng.below(8)]
+                            : static_cast<float>(rng.normal());
+      mask[i] = rng.below(4) != 0 ? 1 : 0;
+    }
+    CHECK(rlsched::nn::argmax_masked(v.data(), mask.data(), n) ==
+          reference_argmax(v.data(), mask.data(), n));
+  }
+}
+
+}  // namespace
 
 int main() {
   constexpr std::size_t N = 8;
@@ -44,6 +87,7 @@ int main() {
   for (const float p : probs) CHECK(p == 0.0f);
   CHECK(rlsched::nn::argmax_masked(logits.data(), none.data(), N) == 0);
 
+  fuzz_argmax_against_reference();
   std::puts("masked argmax/softmax: OK");
   return 0;
 }
